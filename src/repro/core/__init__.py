@@ -15,6 +15,7 @@ from .buffers import (
     FifoEventIdBuffer,
     FrequencyAwareEventBuffer,
     RandomDropBuffer,
+    evict_random,
 )
 from .config import (
     LpbcastConfig,
@@ -45,6 +46,7 @@ __all__ = [
     "DeliveryListener",
     "EchoMessage",
     "EventId",
+    "evict_random",
     "FifoBuffer",
     "FifoDeliveryGate",
     "FifoEventIdBuffer",

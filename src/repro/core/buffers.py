@@ -17,13 +17,13 @@ paper's pseudocode:
 All random choices are drawn from an injected ``random.Random`` so that whole
 simulations are reproducible from a single seed.
 
-Hot-path note: eviction loops here dominate large-n simulation profiles, so
-:meth:`RandomDropBuffer.truncate` inlines the eviction draw when the stream is
-a plain ``random.Random``.  The inlined draw replicates
-``Random.randrange(n)`` bit-for-bit (``getrandbits(n.bit_length())``
-rejection sampling — CPython's ``_randbelow``), so optimized and
-straightforward runs consume identical random streams; the telemetry parity
-suite pins this with a pre-optimization golden counter record.
+The uniform random evictions from lists — :meth:`RandomDropBuffer.truncate`,
+:meth:`repro.core.view.PartialView.truncate` and the fused Phase II of
+:class:`repro.membership.layer.PartialViewMembership` — all run the one
+kernel :func:`evict_random`.  Its draw replicates ``Random.randrange(n)``
+bit-for-bit (``getrandbits(n.bit_length())`` rejection sampling — CPython's
+``_randbelow``), so it consumes exactly the random stream a
+``rng.randrange`` loop would; the golden fingerprints pin this.
 """
 
 from __future__ import annotations
@@ -52,6 +52,40 @@ def _identity(item):
     """Default buffer key (module-level, not a lambda, so buffers — and the
     nodes holding them — can be pickled across shard-worker boundaries)."""
     return item
+
+
+def evict_random(
+    items: List[T],
+    index: Dict[Hashable, int],
+    max_size: int,
+    getrandbits: Callable[[int], int],
+    key: Optional[Callable[[T], Hashable]] = None,
+) -> List[T]:
+    """Evict uniformly random entries until ``len(items) <= max_size``.
+
+    ``items`` is a duplicate-free list and ``index`` maps each entry's key
+    (``key(item)``, or the item itself when ``key`` is None) to its position;
+    evictions swap-remove, and ``index`` is kept up to date entry by entry.
+    Each draw equals ``Random.randrange(len(items))`` made with the
+    generator behind ``getrandbits``.  Returns the evictees in eviction
+    order.
+    """
+    n = len(items)
+    evicted: List[T] = []
+    while n > max_size:
+        k = n.bit_length()
+        pos = getrandbits(k)
+        while pos >= n:
+            pos = getrandbits(k)
+        item = items[pos]
+        last = items.pop()
+        del index[item if key is None else key(item)]
+        n -= 1
+        if pos < n:
+            items[pos] = last
+            index[last if key is None else key(last)] = pos
+        evicted.append(item)
+    return evicted
 
 
 class RandomDropBuffer(Generic[T]):
@@ -122,58 +156,16 @@ class RandomDropBuffer(Generic[T]):
             self._index[self._key(last)] = pos
         return True
 
-    def pop_random(self) -> T:
-        """Remove and return a uniformly random element."""
-        if not self._items:
-            raise IndexError("pop from empty buffer")
-        pos = self._rng.randrange(len(self._items))
-        item = self._items[pos]
-        last = self._items.pop()
-        del self._index[self._key(item)]
-        if pos < len(self._items):
-            self._items[pos] = last
-            self._index[self._key(last)] = pos
-        return item
-
     def truncate(self) -> List[T]:
         """Evict uniformly random elements until the bound holds.
 
         Returns the evicted elements (callers such as Phase 2 of Figure 1(a)
-        recycle them).  For a plain ``random.Random`` stream the eviction
-        loop is inlined (identical draws to :meth:`pop_random`, see module
-        docstring); custom generators fall back to ``pop_random``.
+        recycle them).
         """
-        items = self._items
-        max_size = self.max_size
-        n = len(items)
-        if n <= max_size:
-            return []
-        rng = self._rng
-        if type(rng) is not random.Random:
-            evicted = []
-            while len(items) > max_size:
-                evicted.append(self.pop_random())
-            return evicted
-        evicted = []
-        index = self._index
-        keyfn = None if self._key_is_identity else self._key
-        getrandbits = rng.getrandbits
-        while n > max_size:
-            # Random.randrange(n) == _randbelow(n): rejection-sample
-            # n.bit_length() bits — same stream consumption, fewer frames.
-            k = n.bit_length()
-            pos = getrandbits(k)
-            while pos >= n:
-                pos = getrandbits(k)
-            item = items[pos]
-            last = items.pop()
-            del index[item if keyfn is None else keyfn(item)]
-            n -= 1
-            if pos < n:
-                items[pos] = last
-                index[last if keyfn is None else keyfn(last)] = pos
-            evicted.append(item)
-        return evicted
+        return evict_random(
+            self._items, self._index, self.max_size, self._rng.getrandbits,
+            None if self._key_is_identity else self._key,
+        )
 
     def add_truncating(self, item: T) -> List[T]:
         """``add`` followed by ``truncate``; returns the evicted elements."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .buffers import evict_random
 from .ids import ProcessId
 
 
@@ -59,65 +60,17 @@ class PartialView:
         pos = self._index.pop(pid, None)
         if pos is None:
             return False
-        self._forget_weight(pid)
         last = self._items.pop()
         if pos < len(self._items):
             self._items[pos] = last
             self._index[last] = pos
         return True
 
-    def _pick_eviction_index(self) -> int:
-        """Index of the entry to evict; uniform here, overridden by the
-        weighted variant."""
-        return self._rng.randrange(len(self._items))
-
-    def _forget_weight(self, pid: ProcessId) -> None:
-        """Hook for the weighted variant; no-op for uniform views."""
-
     def truncate(self) -> List[ProcessId]:
-        """Evict entries until ``len(view) <= l``; returns the evictees.
-
-        Phase 2 runs this once per received gossip, so the uniform case
-        inlines the eviction draw (bit-identical to
-        ``Random.randrange(len(view))`` — rejection sampling over
-        ``bit_length`` bits, exactly CPython's ``_randbelow``); the weighted
-        subclass and custom generators use the overridable
-        :meth:`_pick_eviction_index` path.
-        """
-        items = self._items
-        n = len(items)
-        if n <= self.max_size:
-            return []
-        evicted: List[ProcessId] = []
-        index = self._index
-        max_size = self.max_size
-        if type(self) is PartialView and type(self._rng) is random.Random:
-            getrandbits = self._rng.getrandbits
-            while n > max_size:
-                k = n.bit_length()
-                pos = getrandbits(k)
-                while pos >= n:
-                    pos = getrandbits(k)
-                pid = items[pos]
-                last = items.pop()
-                del index[pid]
-                n -= 1
-                if pos < n:
-                    items[pos] = last
-                    index[last] = pos
-                evicted.append(pid)
-            return evicted
-        while len(items) > max_size:
-            pos = self._pick_eviction_index()
-            pid = items[pos]
-            last = items.pop()
-            del index[pid]
-            self._forget_weight(pid)
-            if pos < len(items):
-                items[pos] = last
-                index[last] = pos
-            evicted.append(pid)
-        return evicted
+        """Evict uniformly random entries until ``len(view) <= l``; returns
+        the evictees in eviction order."""
+        return evict_random(self._items, self._index, self.max_size,
+                            self._rng.getrandbits)
 
     def clear(self) -> None:
         self._items.clear()
@@ -194,16 +147,24 @@ class WeightedPartialView(PartialView):
     def weight_of(self, pid: ProcessId) -> int:
         return self._weights.get(pid, 0)
 
-    def _forget_weight(self, pid: ProcessId) -> None:
+    def remove(self, pid: ProcessId) -> bool:
         self._weights.pop(pid, None)
+        return super().remove(pid)
 
-    def _pick_eviction_index(self) -> int:
-        max_weight = max(self._weights[pid] for pid in self._items)
-        heaviest = [
-            pos for pos, pid in enumerate(self._items)
-            if self._weights[pid] == max_weight
-        ]
-        return self._rng.choice(heaviest)
+    def truncate(self) -> List[ProcessId]:
+        """Evict a heaviest entry (ties broken uniformly at random) until
+        ``len(view) <= l``; returns the evictees in eviction order."""
+        items = self._items
+        weights = self._weights
+        evicted: List[ProcessId] = []
+        while len(items) > self.max_size:
+            max_weight = max(weights[pid] for pid in items)
+            pid = self._rng.choice(
+                [pid for pid in items if weights[pid] == max_weight]
+            )
+            self.remove(pid)
+            evicted.append(pid)
+        return evicted
 
     def select_for_subs(self, k: int) -> List[ProcessId]:
         if k >= len(self._items):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Protocol, Tuple
 
-from ..core.buffers import RandomDropBuffer
+from ..core.buffers import RandomDropBuffer, evict_random
 from ..core.events import Unsubscription
 from ..core.ids import ProcessId
 from ..core.subscription import UnsubscriptionBuffer
@@ -73,7 +73,7 @@ class PartialViewMembership:
         self.owner = owner
         self.unsub_ttl = unsub_ttl
         self.weighted = weighted
-        rng = rng if rng is not None else random.Random()
+        rng = self._rng = rng if rng is not None else random.Random()
         view_cls = WeightedPartialView if weighted else PartialView
         self.view = view_cls(owner, view_max, rng)
         for pid in initial_view:
@@ -115,36 +115,73 @@ class PartialViewMembership:
         buffered.truncate()
 
     def _phase2_subscriptions(self, subs: Tuple[ProcessId, ...]) -> None:
+        """Add each unknown ``subs`` entry to ``view`` and to ``subs``, then
+        truncate both (:meth:`_evict_and_recycle`).
+
+        Phase II runs once per received gossip and dominates the serial
+        round, so it works on the view's and the buffer's own lists and
+        indexes in one pass, with no per-entry method call.  It makes the
+        same changes, in the same order, as ``view.add``/``subs.add`` per
+        entry would.
+        """
         if not subs:
             return  # view/subs already within bounds: no adds, no draws
-        weighted = self.weighted and isinstance(self.view, WeightedPartialView)
         view = self.view
-        unsubs = self.unsubs
-        pending = self.subs
+        items = view._items
+        index = view._index
+        pending_items = self.subs._items
+        pending_index = self.subs._index
+        # Death-certificate check (implementation note): while a process's
+        # unsubscription is buffered locally, stale subscriptions for it
+        # recirculating through other processes' ``subs`` buffers must not
+        # re-add it, or the "gradual removal ... from local views"
+        # (Sec. 3.2) never converges.  The certificate expires with the
+        # unsubscription's timestamp (Sec. 3.4), after which a genuine
+        # re-subscription is accepted again.
+        dead = self.unsubs._timestamps
+        weights = view._weights if self.weighted else None
         owner = self.owner
-        for new_sub in subs:
-            if new_sub == owner:
+        for pid in subs:
+            if pid == owner or pid in dead:
                 continue
-            # Death-certificate check (implementation note): while a process's
-            # unsubscription is buffered locally, stale subscriptions for it
-            # recirculating through other processes' ``subs`` buffers must not
-            # re-add it, or the "gradual removal ... from local views"
-            # (Sec. 3.2) never converges.  The certificate expires with the
-            # unsubscription's timestamp (Sec. 3.4), after which a genuine
-            # re-subscription is accepted again.
-            if new_sub in unsubs:
+            if pid in index:
+                if weights is not None:
+                    weights[pid] += 1  # Sec. 6.1: "the weight ... is increased"
                 continue
-            if new_sub in view:
-                if weighted:
-                    view.note_awareness(new_sub)
-                continue
-            if view.add(new_sub):
-                pending.add(new_sub)
-        evicted = view.truncate()
+            index[pid] = len(items)
+            items.append(pid)
+            if weights is not None:
+                weights[pid] = 0
+            if pid not in pending_index:
+                pending_index[pid] = len(pending_items)
+                pending_items.append(pid)
+        self._evict_and_recycle()
+
+    def _evict_and_recycle(self) -> None:
+        """Truncate ``view`` to l, recycle the evictees into ``subs`` in
+        eviction order, then truncate ``subs`` (Figure 1(a), Phase II).
+
+        The draw order is a contract: every view eviction is drawn before
+        any ``subs`` eviction, exactly as ``view.truncate()`` followed by
+        ``subs.add_all(evicted)`` and ``subs.truncate()``.
+        """
+        view = self.view
+        if self.weighted:
+            evicted = view.truncate()
+        else:
+            evicted = evict_random(view._items, view._index, view.max_size,
+                                   self._rng.getrandbits)
+        pending = self.subs
+        pending_items = pending._items
+        pending_index = pending._index
         if evicted:
             self.view_evictions += len(evicted)
-            pending.add_all(evicted)
-        pending.truncate()
+            for pid in evicted:
+                if pid not in pending_index:
+                    pending_index[pid] = len(pending_items)
+                    pending_items.append(pid)
+        evict_random(pending_items, pending_index, pending.max_size,
+                     self._rng.getrandbits)
 
     # -- outgoing ------------------------------------------------------------
     def membership_payload(
@@ -186,9 +223,7 @@ class PartialViewMembership:
     def add(self, pid: ProcessId) -> bool:
         added = self.view.add(pid)
         if added:
-            evicted = self.view.truncate()
-            self.subs.add_all(evicted)
-            self.subs.truncate()
+            self._evict_and_recycle()
         return added
 
     def remove(self, pid: ProcessId) -> bool:

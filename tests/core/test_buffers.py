@@ -9,8 +9,35 @@ from repro.core.buffers import (
     FifoBuffer,
     FifoEventIdBuffer,
     RandomDropBuffer,
+    evict_random,
 )
 from repro.core.ids import EventId
+
+
+class TestEvictRandom:
+    def test_draws_equal_randrange_and_index_tracks_positions(self):
+        items = list("abcdefghij")
+        index = {item: pos for pos, item in enumerate(items)}
+        rng, ref = random.Random(7), random.Random(7)
+        evicted = evict_random(items, index, 3, rng.getrandbits)
+        pool, expected = list("abcdefghij"), []
+        while len(pool) > 3:
+            pos = ref.randrange(len(pool))
+            expected.append(pool[pos])
+            last = pool.pop()
+            if pos < len(pool):
+                pool[pos] = last
+        assert evicted == expected
+        assert items == pool
+        assert index == {item: pos for pos, item in enumerate(items)}
+        assert rng.getstate() == ref.getstate()
+
+    def test_within_bound_draws_nothing(self):
+        items, index = [1, 2], {1: 0, 2: 1}
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert evict_random(items, index, 2, rng.getrandbits) == []
+        assert rng.getstate() == state
 
 
 class TestRandomDropBuffer:
@@ -61,14 +88,6 @@ class TestRandomDropBuffer:
         assert buf.discard("b")
         assert not buf.discard("b")
         assert set(buf) == {"a", "c"}
-
-    def test_pop_random_empties(self):
-        buf = RandomDropBuffer(5, random.Random(0))
-        buf.add_all([1, 2, 3])
-        popped = {buf.pop_random() for _ in range(3)}
-        assert popped == {1, 2, 3}
-        with pytest.raises(IndexError):
-            buf.pop_random()
 
     def test_drain(self):
         buf = RandomDropBuffer(5, random.Random(0))

@@ -54,6 +54,13 @@ class TestPriorityProcessSet:
         priority.normalize(layer)
         assert len(layer.view) <= 5
 
+    def test_normalize_counts_its_view_evictions(self):
+        priority = PriorityProcessSet(tuple(range(100, 110)))
+        layer = make_layer(view=(1, 2, 3, 4, 5))
+        added = priority.normalize(layer)
+        assert added == 10
+        assert layer.view_evictions == 10
+
     def test_normalize_idempotent_when_known(self):
         priority = PriorityProcessSet((100,))
         layer = make_layer(view=(100,))

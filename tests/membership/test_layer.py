@@ -81,6 +81,24 @@ class TestPartialViewMembership:
         outside = {1, 2, 3, 4, 5, 6, 7} - set(layer.view)
         assert outside <= set(layer.subs)
 
+    def test_add_counts_and_recycles_its_view_evictions(self):
+        # Joins, SubscriptionAck and PriorityProcessSet.normalize go through
+        # add(); its evictions count like Phase II's.
+        layer = make_layer(view=(1, 2, 3, 4, 5), subs_max=20)
+        assert layer.add(6)
+        assert len(layer.view) == 5
+        assert layer.view_evictions == 1
+        (evicted,) = {1, 2, 3, 4, 5, 6} - set(layer.view)
+        assert evicted in layer.subs
+        assert layer.add(7)
+        assert layer.view_evictions == 2
+
+    def test_add_below_bound_evicts_nothing(self):
+        layer = make_layer(view=(1, 2))
+        assert layer.add(3)
+        assert not layer.add(3)
+        assert layer.view_evictions == 0
+
     def test_weighted_awareness(self):
         layer = make_layer(view=(1, 2), weighted=True)
         layer.apply_membership((1,), (), now=0.0)
